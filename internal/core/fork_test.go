@@ -168,9 +168,9 @@ func TestForkDisabledUnderConflictBudget(t *testing.T) {
 // stays canonical: a fork point never survives export/import, so handed-off
 // subtrees replay.
 func TestForkPointerDroppedOnHandoff(t *testing.T) {
-	s1 := NewShard(forkProgram(3, nil), ShardOptions{})
-	s1.SeedRoot()
-	if _, ok := s1.Step(SearchBFS); !ok {
+	s1 := NewShard(forkProgram(3, nil), ShardOptions{Search: SearchBFS})
+	s1.AddPrefix(nil, "")
+	if _, ok := s1.Step(); !ok {
 		t.Fatal("seed step failed")
 	}
 	prefix, sig, ok := s1.Handoff()
@@ -185,7 +185,7 @@ func TestForkPointerDroppedOnHandoff(t *testing.T) {
 		}
 	}
 	for s2.Pending() > 0 {
-		if _, ok := s2.Step(SearchDFS); !ok {
+		if _, ok := s2.Step(); !ok {
 			break
 		}
 	}

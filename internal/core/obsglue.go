@@ -21,6 +21,15 @@ const (
 	CtrBranches        = "explore.branches"
 	CtrConcretizations = "explore.concretizations"
 	CtrQueries         = "explore.queries"
+	// CtrPathsExecuted counts every path a parallel exploration's workers
+	// ran, including paths past the canonical cut. Telemetry outside the
+	// deterministic report contract, like Stats.CDCLQueries; only
+	// parexplore publishes it.
+	CtrPathsExecuted = "explore.paths_executed"
+	// CtrHandoffs counts the subtrees parallel workers donated to starved
+	// workers. A donated subtree replays its prefix instead of resuming
+	// from a fork point. Telemetry, published by parexplore only.
+	CtrHandoffs = "explore.handoffs"
 
 	CtrSolverChecks  = "solver.checks"
 	CtrSolverSat     = "solver.sat"

@@ -71,10 +71,10 @@ type ShardOptions struct {
 
 // Shard explores disjoint subtrees of one program's path tree over a private
 // term context and solver. It is the sequential building block of parallel
-// exploration: an orchestrator seeds it with portable prefixes, calls Step
-// until the frontier drains, and moves work between shards with Handoff /
-// AddPrefix. A Shard is not safe for concurrent use; run each on one
-// goroutine.
+// exploration: an orchestrator gives it portable prefixes (the empty prefix
+// is the whole tree), calls Step until the frontier drains, and moves work
+// between shards with Handoff / AddPrefix. A Shard is not safe for
+// concurrent use; run each on one goroutine.
 type Shard struct {
 	ctx  *smt.Context
 	sol  *solver.Solver
@@ -185,9 +185,6 @@ func (s *Shard) ForkStats() (snapshots, resumes, eventsSaved uint64) {
 	return s.forkSnapshots, s.forkResumes, s.replayEventsSaved
 }
 
-// SeedRoot schedules the empty prefix — the whole path tree.
-func (s *Shard) SeedRoot() { s.w.addRoot() }
-
 // AddPrefix schedules an imported subtree root.
 func (s *Shard) AddPrefix(prefix []Step, sig Sig) { s.w.addPrefix(prefix, sig) }
 
@@ -200,22 +197,25 @@ func (s *Shard) SetBound(sig Sig) { s.w.setBound(sig) }
 // Pruned reports whether any work was discarded by a bound.
 func (s *Shard) Pruned() bool { return s.w.pruned }
 
-// Handoff removes the oldest (shallowest, hence largest-subtree) frontier
-// node and exports it in portable form for another shard.
+// Handoff removes the frontier node with the second-smallest signature and
+// exports it in portable form for another shard. A depth-first shard pops
+// its smallest node next, so the donated subtree is the one canonical order
+// reaches right after the donor's own, and both shards work at the front of
+// the order a signature cut keeps (DESIGN.md §8). It returns false when
+// fewer than two nodes are pending or the candidate is already past the
+// bound.
 func (s *Shard) Handoff() ([]Step, Sig, bool) {
-	if len(s.w.frontier) == 0 {
+	n := s.w.donate()
+	if n == nil {
 		return nil, "", false
 	}
-	n := s.w.frontier[0]
-	s.w.frontier = s.w.frontier[1:]
 	return s.w.export(n), n.sig, true
 }
 
-// Step explores one path using the given pop order (the orchestrator's seed
-// phase overrides the configured strategy with BFS to widen the frontier).
-// It returns false when the frontier is empty or fully pruned.
-func (s *Shard) Step(order SearchStrategy) (PathRecord, bool) {
-	n := s.w.pop(order, &s.rng)
+// Step explores one path, popping the frontier in the configured search
+// order. It returns false when the frontier is empty or fully pruned.
+func (s *Shard) Step() (PathRecord, bool) {
+	n := s.w.pop(s.opts.Search, &s.rng)
 	if n == nil {
 		return PathRecord{}, false
 	}

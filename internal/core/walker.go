@@ -136,6 +136,35 @@ func (w *walker) pop(strategy SearchStrategy, rng *pathRNG) *node {
 	return nil
 }
 
+// donate removes and returns the frontier node with the second-smallest
+// signature: the smallest is the one a depth-first walker pops next, so the
+// donated subtree is the one canonical order reaches right after it. Nil
+// when fewer than two nodes are pending or the candidate is already ordered
+// after the bound (pop discards it instead).
+func (w *walker) donate() *node {
+	if len(w.frontier) < 2 {
+		return nil
+	}
+	lo, next := 0, 1
+	if w.frontier[next].sig < w.frontier[lo].sig {
+		lo, next = next, lo
+	}
+	for i := 2; i < len(w.frontier); i++ {
+		switch sig := w.frontier[i].sig; {
+		case sig < w.frontier[lo].sig:
+			lo, next = i, lo
+		case sig < w.frontier[next].sig:
+			next = i
+		}
+	}
+	n := w.frontier[next]
+	if w.bounded && n.sig > w.bound {
+		return nil
+	}
+	w.frontier = append(w.frontier[:next], w.frontier[next+1:]...)
+	return n
+}
+
 // materialize writes the node's full prefix into the walker's scratch
 // buffer. The result is invalidated by the next materialize call.
 func (w *walker) materialize(n *node) []event {

@@ -29,11 +29,11 @@ func branchProgram(bits int, collect func(pattern uint64)) RunFunc {
 func TestShardEnumeratesFullTree(t *testing.T) {
 	seen := map[uint64]int{}
 	s := NewShard(branchProgram(3, func(p uint64) { seen[p]++ }), ShardOptions{})
-	s.SeedRoot()
+	s.AddPrefix(nil, "")
 	sigs := map[Sig]bool{}
 	paths := 0
 	for s.Pending() > 0 {
-		rec, ok := s.Step(SearchDFS)
+		rec, ok := s.Step()
 		if !ok {
 			break
 		}
@@ -61,10 +61,10 @@ func TestShardEnumeratesFullTree(t *testing.T) {
 // lexicographic Sig order equals sequential DFS discovery order.
 func TestShardDFSVisitsInSigOrder(t *testing.T) {
 	s := NewShard(branchProgram(4, nil), ShardOptions{})
-	s.SeedRoot()
+	s.AddPrefix(nil, "")
 	var order []Sig
 	for s.Pending() > 0 {
-		rec, ok := s.Step(SearchDFS)
+		rec, ok := s.Step()
 		if !ok {
 			break
 		}
@@ -82,11 +82,11 @@ func TestShardDFSVisitsInSigOrder(t *testing.T) {
 // into a second shard with its own term context, and checks the union of
 // both shards' paths equals a sequential exploration.
 func TestShardHandoffRoundTrip(t *testing.T) {
-	s1 := NewShard(branchProgram(3, nil), ShardOptions{})
-	s1.SeedRoot()
+	s1 := NewShard(branchProgram(3, nil), ShardOptions{Search: SearchBFS})
+	s1.AddPrefix(nil, "")
 	// Explore two paths breadth-first to widen the frontier.
 	for i := 0; i < 2; i++ {
-		if _, ok := s1.Step(SearchBFS); !ok {
+		if _, ok := s1.Step(); !ok {
 			t.Fatal("frontier drained during seeding")
 		}
 	}
@@ -108,7 +108,7 @@ func TestShardHandoffRoundTrip(t *testing.T) {
 	collect := func(s *Shard) int {
 		n := 0
 		for s.Pending() > 0 {
-			rec, ok := s.Step(SearchDFS)
+			rec, ok := s.Step()
 			if !ok {
 				break
 			}
@@ -135,10 +135,10 @@ func TestShardHandoffRoundTrip(t *testing.T) {
 func TestShardBoundPrunes(t *testing.T) {
 	// Reference exploration: collect all 8 sigs in DFS (= canonical) order.
 	ref := NewShard(branchProgram(3, nil), ShardOptions{})
-	ref.SeedRoot()
+	ref.AddPrefix(nil, "")
 	var all []Sig
 	for ref.Pending() > 0 {
-		rec, ok := ref.Step(SearchDFS)
+		rec, ok := ref.Step()
 		if !ok {
 			break
 		}
@@ -149,12 +149,12 @@ func TestShardBoundPrunes(t *testing.T) {
 	}
 
 	bound := all[4]
-	s := NewShard(branchProgram(3, nil), ShardOptions{})
-	s.SeedRoot()
+	s := NewShard(branchProgram(3, nil), ShardOptions{Search: SearchBFS})
+	s.AddPrefix(nil, "")
 	s.SetBound(bound)
-	var got []Sig
+	var got []Sig // breadth-first: non-canonical order on purpose
 	for s.Pending() > 0 {
-		rec, ok := s.Step(SearchBFS) // non-canonical order on purpose
+		rec, ok := s.Step()
 		if !ok {
 			break
 		}
@@ -179,20 +179,20 @@ func TestShardBoundPrunes(t *testing.T) {
 // does in a monolithic exploration.
 func TestShardPerPathStatsSplitInvariant(t *testing.T) {
 	mono := NewShard(branchProgram(3, nil), ShardOptions{})
-	mono.SeedRoot()
+	mono.AddPrefix(nil, "")
 	bysig := map[Sig]PathRecord{}
 	for mono.Pending() > 0 {
-		rec, ok := mono.Step(SearchDFS)
+		rec, ok := mono.Step()
 		if !ok {
 			break
 		}
 		bysig[rec.Sig] = rec
 	}
 
-	s1 := NewShard(branchProgram(3, nil), ShardOptions{})
-	s1.SeedRoot()
+	s1 := NewShard(branchProgram(3, nil), ShardOptions{Search: SearchBFS})
+	s1.AddPrefix(nil, "")
 	for i := 0; i < 2; i++ {
-		s1.Step(SearchBFS)
+		s1.Step()
 	}
 	prefix, sig, ok := s1.Handoff()
 	if !ok {
@@ -201,7 +201,7 @@ func TestShardPerPathStatsSplitInvariant(t *testing.T) {
 	s2 := NewShard(branchProgram(3, nil), ShardOptions{})
 	s2.AddPrefix(prefix, sig)
 	for s2.Pending() > 0 {
-		rec, ok := s2.Step(SearchDFS)
+		rec, ok := s2.Step()
 		if !ok {
 			break
 		}
@@ -277,5 +277,42 @@ func BenchmarkExploreDeepTree(b *testing.B) {
 		if rep.Stats.Paths != 1<<bits {
 			b.Fatalf("paths = %d, want %d", rep.Stats.Paths, 1<<bits)
 		}
+	}
+}
+
+// TestShardHandoffDonatesSecondSmallest pins the hand-off policy: a
+// depth-first donor keeps its smallest-signature node for its next step and
+// gives away the second-smallest, the subtree canonical order reaches next.
+func TestShardHandoffDonatesSecondSmallest(t *testing.T) {
+	s := NewShard(branchProgram(3, nil), ShardOptions{})
+	s.AddPrefix(nil, "")
+	if _, ok := s.Step(); !ok {
+		t.Fatal("root step failed")
+	}
+	// Frontier after path TTT: siblings F, TF and TTF.
+	var sigs []Sig
+	for _, n := range s.w.frontier {
+		sigs = append(sigs, n.sig)
+	}
+	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
+	_, sig, ok := s.Handoff()
+	if !ok || sig != sigs[1] {
+		t.Fatalf("handoff sig %q (ok=%v), want second-smallest %q", sig, ok, sigs[1])
+	}
+	rec, ok := s.Step()
+	if !ok || rec.Sig != sigs[0] {
+		t.Fatalf("donor's next path %q, want the smallest node %q", rec.Sig, sigs[0])
+	}
+	if _, _, ok := s.Handoff(); ok {
+		t.Fatal("handoff with a single pending node succeeded")
+	}
+
+	// A candidate already past the bound stays for pop to discard.
+	b := NewShard(branchProgram(3, nil), ShardOptions{})
+	b.AddPrefix(nil, "")
+	b.Step()
+	b.SetBound(sigs[0])
+	if _, _, ok := b.Handoff(); ok {
+		t.Fatal("handoff donated a node ordered after the bound")
 	}
 }

@@ -12,6 +12,18 @@
 // every worker independently rebuilds identical terms, so per-worker
 // hash-consing and CNF caches stay hot with zero cross-worker traffic.
 //
+// # How work is shared
+//
+// The whole tree starts as one queue unit: the empty prefix, signature "".
+// The queue hands out its smallest-signature unit first, and a worker that
+// sees another starve donates its frontier node with the second-smallest
+// signature (core.Shard.Handoff) — the subtree canonical order reaches right
+// after the donor's own next node. Both workers therefore stay at the front
+// of canonical order, which is exactly the part a signature cut keeps, so a
+// bounded run (stop-on-first-finding, MaxPaths, MaxInstructions) executes
+// few paths past its cut. Donating large, late subtrees instead keeps the
+// workers busy on paths the cut then discards.
+//
 // # Why the result is deterministic
 //
 // Every explored path carries a canonical signature (core.Sig) whose
@@ -38,6 +50,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"symriscv/internal/core"
@@ -53,9 +66,10 @@ type unit struct {
 	sig    core.Sig
 }
 
-// queue distributes subtree roots among workers. It closes itself when every
-// participant is blocked waiting and no items remain — the frontier of the
-// whole exploration has drained.
+// queue distributes subtree roots among workers, smallest signature first,
+// so the subtrees a signature cut keeps are explored before the ones it
+// would discard. It closes itself when every participant is blocked waiting
+// and no items remain — the frontier of the whole exploration has drained.
 type queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -77,7 +91,10 @@ func (q *queue) put(u unit) {
 	if q.closed {
 		return
 	}
-	q.items = append(q.items, u)
+	i := sort.Search(len(q.items), func(k int) bool { return q.items[k].sig > u.sig })
+	q.items = append(q.items, unit{})
+	copy(q.items[i+1:], q.items[i:])
+	q.items[i] = u
 	q.cond.Signal()
 }
 
@@ -140,6 +157,8 @@ type coord struct {
 	curBound core.Sig
 	hasBound bool
 	stopped  bool // MaxTime expired mid-run
+
+	handoffs atomic.Uint64 // subtrees donated to starved workers (telemetry)
 
 	progressEvery int
 }
@@ -356,16 +375,6 @@ func (c *coord) merge(shards []*core.Shard) *core.Report {
 	return rep
 }
 
-// seedTarget is the frontier width the breadth-first seed phase aims for
-// before splitting work across the queue.
-func seedTarget(workers int) int {
-	t := 4 * workers
-	if t < 32 {
-		t = 32
-	}
-	return t
-}
-
 // Explore runs the program over the whole feasible path tree like
 // core.Explorer.Explore, sharded across the given number of worker
 // goroutines (default GOMAXPROCS when workers <= 0). Budgets are applied as
@@ -427,36 +436,10 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 		shards[i].ObsHandle().SetBase(root)
 	}
 
-	// Seed phase: worker 0's shard explores breadth-first until the frontier
-	// is wide enough to split (or the tree, a budget or a bound ends it),
-	// then every frontier node is exported to the shared queue.
-	seed := shards[0]
-	seed.SeedRoot()
-	for seed.Pending() > 0 && seed.Pending() < seedTarget(workers) {
-		if c.shouldStop() {
-			break
-		}
-		if b, ok := c.bound(); ok {
-			seed.SetBound(b)
-		}
-		rec, ok := seed.Step(core.SearchBFS)
-		if !ok {
-			break
-		}
-		c.record(rec)
-	}
+	// The whole tree is one unit; workers split it by donating frontier
+	// nodes whenever another worker is starved.
 	q := newQueue(workers)
-	for {
-		prefix, sig, ok := seed.Handoff()
-		if !ok {
-			break
-		}
-		q.put(unit{prefix: prefix, sig: sig})
-	}
-	// Publish the seed phase's cache entries before workers start, so every
-	// worker begins with the shared decode-prefix answers.
-	seed.FlushCache()
-	seed.FlushObs()
+	q.put(unit{sig: ""})
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -465,7 +448,7 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 			defer wg.Done()
 			// pprof labels attribute CPU samples per worker and phase.
 			obs.LabelWorker(opts.Obs, i+1, obs.PhaseExplore, func() {
-				workerLoop(sh, q, c, opts.Search)
+				workerLoop(sh, q, c)
 			})
 		}(i, shards[i])
 	}
@@ -477,6 +460,8 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 			sh.PublishObsCounters()
 		}
 		core.PublishExploreObs(oh, rep.Stats)
+		oh.Add(core.CtrPathsExecuted, uint64(len(c.records)))
+		oh.Add(core.CtrHandoffs, c.handoffs.Load())
 		root.End()
 		oh.Flush()
 	}
@@ -484,8 +469,9 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 }
 
 // workerLoop pulls subtree roots off the queue and explores them, donating
-// frontier nodes whenever another worker is starved.
-func workerLoop(sh *core.Shard, q *queue, c *coord, search core.SearchStrategy) {
+// its second-smallest frontier node (core.Shard.Handoff) whenever another
+// worker is starved.
+func workerLoop(sh *core.Shard, q *queue, c *coord) {
 	for {
 		u, ok := q.get()
 		if !ok {
@@ -500,7 +486,7 @@ func workerLoop(sh *core.Shard, q *queue, c *coord, search core.SearchStrategy) 
 			if b, ok := c.bound(); ok {
 				sh.SetBound(b)
 			}
-			rec, ok := sh.Step(search)
+			rec, ok := sh.Step()
 			if !ok {
 				break // frontier drained or fully pruned
 			}
@@ -512,6 +498,7 @@ func workerLoop(sh *core.Shard, q *queue, c *coord, search core.SearchStrategy) 
 					sh.FlushCache()
 					sh.FlushObs()
 					q.put(unit{prefix: prefix, sig: sig})
+					c.handoffs.Add(1)
 				}
 			}
 		}

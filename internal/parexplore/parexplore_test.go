@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,6 +97,69 @@ func TestEquivalenceSweep(t *testing.T) {
 				t.Errorf("%v/%d workers: exhausted=%v, want %v",
 					search, workers, par.Exhausted, seq.Exhausted)
 			}
+		}
+	}
+}
+
+// lateFindingTree enumerates 2^bits paths over one symbolic word and reports
+// a finding on the path at canonical index at (depth-first, true first).
+// Every path sleeps for the same short while, so two workers progress at
+// about the same rate even on a loaded host. runs counts every path the
+// RunFunc executes, including paths a canonical cut later discards.
+func lateFindingTree(bits, at int, runs *atomic.Int64) core.RunFunc {
+	return func(e *core.Engine) error {
+		runs.Add(1)
+		ctx := e.Context()
+		v := e.MakeSymbolic("v", 16)
+		idx := 0
+		for bit := 0; bit < bits; bit++ {
+			idx <<= 1
+			if !e.Branch(ctx.Eq(ctx.Extract(v, bit, bit), ctx.BV(1, 1))) {
+				idx |= 1
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+		if idx == at {
+			return fmt.Errorf("finding at %d", idx)
+		}
+		return nil
+	}
+}
+
+// TestBoundedShardingWaste checks that bounded two-worker explorations
+// spend their work on the paths the canonical cut keeps: workers take the
+// smallest-signature work first, so at most twice the kept paths plus two
+// per worker are executed, under both a finding cut and a path-count cut.
+// Handing out the largest subtrees first ran 2.8-3.6 times the kept paths
+// on this tree. The explore.paths_executed counter must count exactly the
+// paths the RunFunc ran.
+func TestBoundedShardingWaste(t *testing.T) {
+	const bits, at, workers = 12, 1100, 2
+	cases := []struct {
+		name string
+		opts core.Options
+		kept int
+	}{
+		{"stop-on-first-finding", core.Options{StopOnFirstFinding: true}, at + 1},
+		{"max-paths", core.Options{MaxPaths: at}, at},
+	}
+	for _, tc := range cases {
+		var runs atomic.Int64
+		rec := obs.New(obs.Options{})
+		opts := tc.opts
+		opts.Obs = rec
+		rep := parexplore.Explore(lateFindingTree(bits, at, &runs), opts, workers)
+		snap := rec.Snapshot()
+		if rep.Stats.Paths != tc.kept {
+			t.Fatalf("%s: kept %d paths, want %d", tc.name, rep.Stats.Paths, tc.kept)
+		}
+		t.Logf("%s: executed %d kept %d, %d hand-offs", tc.name, runs.Load(), tc.kept,
+			snap.Counters[core.CtrHandoffs])
+		if limit := int64(2*tc.kept + 2*workers); runs.Load() > limit {
+			t.Errorf("%s: executed %d paths to keep %d (limit %d)", tc.name, runs.Load(), tc.kept, limit)
+		}
+		if got := snap.Counters[core.CtrPathsExecuted]; got != uint64(runs.Load()) {
+			t.Errorf("%s: %s = %d, want %d", tc.name, core.CtrPathsExecuted, got, runs.Load())
 		}
 	}
 }
