@@ -477,7 +477,7 @@ func cmdHunt(args []string, stderr io.Writer) error {
 	all := fs.Bool("all", false, "collect all findings instead of stopping at the first")
 	search := fs.String("search", "dfs", "search strategy: dfs | bfs | random")
 	seed := fs.Int64("seed", 0, "seed for the random-path strategy")
-	progress := fs.Bool("progress", false, "print live exploration statistics")
+	progress := fs.Bool("progress", false, "print a progress line (paths, paths/s, findings, elapsed) to stderr every 256 paths")
 	irq := fs.Bool("interrupts", false, "drive a symbolic external-interrupt line")
 	irqBug := fs.Bool("mie-bug", false, "inject the missing-MIE-gate interrupt fault")
 	shared := sharedGroup(fs)
@@ -545,7 +545,7 @@ func cmdHunt(args []string, stderr io.Writer) error {
 		Seed:               *seed,
 	}
 	if *progress {
-		opts.Progress = func(s core.Stats) { fmt.Fprintf(stderr, "  ... %v\n", s) }
+		opts.Progress = progressLine(stderr, common.Workers)
 	}
 	rep := harness.ExploreWith(cosim.RunFunc(cfg), harness.ExploreOptions{Common: common, Opts: opts})
 
@@ -570,6 +570,24 @@ func cmdHunt(args []string, stderr io.Writer) error {
 		}
 	}
 	return finish()
+}
+
+// progressLine returns a Progress callback that prints one line per
+// snapshot: paths, paths/s, findings and elapsed time. At two or more
+// workers both counts include paths the canonical cut may still discard, so
+// the line says they are executed paths and findings among them.
+func progressLine(w io.Writer, workers int) func(core.Stats) {
+	format := "  ... %d paths, %.0f paths/s, %d findings, %s elapsed\n"
+	if workers > 1 {
+		format = "  ... %d executed paths, %.0f paths/s, %d findings among them, %s elapsed\n"
+	}
+	return func(s core.Stats) {
+		rate := 0.0
+		if sec := s.Elapsed.Seconds(); sec > 0 {
+			rate = float64(s.Paths) / sec
+		}
+		fmt.Fprintf(w, format, s.Paths, rate, s.Findings, s.Elapsed.Round(time.Millisecond))
+	}
 }
 
 func cmdLongRun(args []string, stderr io.Writer) error {

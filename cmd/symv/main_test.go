@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"symriscv/internal/core"
 	"symriscv/internal/qstore"
 	"symriscv/internal/querycache"
 )
@@ -178,5 +180,25 @@ func TestCacheSubcommand(t *testing.T) {
 	buf.Reset()
 	if code := run([]string{"cache", "stats", "-store", dir}, &buf); code != 0 {
 		t.Fatalf("cache stats on damaged store = exit %d; stderr:\n%s", code, buf.String())
+	}
+}
+
+// TestProgressLine pins hunt -progress's stderr line: paths, paths/s,
+// findings and elapsed time, with both counts labelled as covering executed
+// paths when several workers may run paths the canonical cut later discards.
+func TestProgressLine(t *testing.T) {
+	st := core.Stats{Paths: 512, Findings: 1, Elapsed: 2 * time.Second}
+	for _, tc := range []struct {
+		workers int
+		want    string
+	}{
+		{1, "  ... 512 paths, 256 paths/s, 1 findings, 2s elapsed\n"},
+		{2, "  ... 512 executed paths, 256 paths/s, 1 findings among them, 2s elapsed\n"},
+	} {
+		var buf bytes.Buffer
+		progressLine(&buf, tc.workers)(st)
+		if buf.String() != tc.want {
+			t.Errorf("workers=%d: %q, want %q", tc.workers, buf.String(), tc.want)
+		}
 	}
 }

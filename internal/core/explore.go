@@ -137,6 +137,7 @@ type Stats struct {
 	Completed    int // RunFunc returned nil
 	Partial      int // findings, limits, solver-unknown aborts
 	Infeasible   int // flipped branches that turned out unsatisfiable
+	Findings     int // paths whose RunFunc reported a finding (counted in Partial)
 	Instructions uint64
 	Cycles       uint64
 
@@ -311,6 +312,7 @@ func (x *Explorer) Explore(opts Options) *Report {
 			return x.finish(rep, start, root, h)
 		case err != nil:
 			rep.Stats.Partial++
+			rep.Stats.Findings++
 			f := Finding{Err: err, Path: pathID}
 			if w, ok := err.(Witnesser); ok {
 				f.Inputs = filterInputs(w.Witness(), eng.symbolic)

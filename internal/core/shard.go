@@ -197,6 +197,20 @@ func (s *Shard) SetBound(sig Sig) { s.w.setBound(sig) }
 // Pruned reports whether any work was discarded by a bound.
 func (s *Shard) Pruned() bool { return s.w.pruned }
 
+// Front returns the signatures of the shard's two smallest pending nodes:
+// front, the one a depth-first shard runs next, and next, the one Handoff
+// donates. n (0, 1 or 2) says how many of them exist.
+func (s *Shard) Front() (front, next Sig, n int) {
+	lo, nx := s.w.front()
+	if lo >= 0 {
+		front, n = s.w.frontier[lo].sig, 1
+	}
+	if nx >= 0 {
+		next, n = s.w.frontier[nx].sig, 2
+	}
+	return front, next, n
+}
+
 // Handoff removes the frontier node with the second-smallest signature and
 // exports it in portable form for another shard. A depth-first shard pops
 // its smallest node next, so the donated subtree is the one canonical order

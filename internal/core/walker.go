@@ -136,26 +136,30 @@ func (w *walker) pop(strategy SearchStrategy, rng *pathRNG) *node {
 	return nil
 }
 
+// front returns the frontier indices of the nodes with the smallest and the
+// second-smallest signature, -1 where fewer nodes are pending.
+func (w *walker) front() (lo, next int) {
+	lo, next = -1, -1
+	for i, n := range w.frontier {
+		switch {
+		case lo < 0 || n.sig < w.frontier[lo].sig:
+			lo, next = i, lo
+		case next < 0 || n.sig < w.frontier[next].sig:
+			next = i
+		}
+	}
+	return lo, next
+}
+
 // donate removes and returns the frontier node with the second-smallest
 // signature: the smallest is the one a depth-first walker pops next, so the
 // donated subtree is the one canonical order reaches right after it. Nil
 // when fewer than two nodes are pending or the candidate is already ordered
 // after the bound (pop discards it instead).
 func (w *walker) donate() *node {
-	if len(w.frontier) < 2 {
+	_, next := w.front()
+	if next < 0 {
 		return nil
-	}
-	lo, next := 0, 1
-	if w.frontier[next].sig < w.frontier[lo].sig {
-		lo, next = next, lo
-	}
-	for i := 2; i < len(w.frontier); i++ {
-		switch sig := w.frontier[i].sig; {
-		case sig < w.frontier[lo].sig:
-			lo, next = i, lo
-		case sig < w.frontier[next].sig:
-			next = i
-		}
 	}
 	n := w.frontier[next]
 	if w.bounded && n.sig > w.bound {

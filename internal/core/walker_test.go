@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -314,5 +315,69 @@ func TestShardHandoffDonatesSecondSmallest(t *testing.T) {
 	b.SetBound(sigs[0])
 	if _, _, ok := b.Handoff(); ok {
 		t.Fatal("handoff donated a node ordered after the bound")
+	}
+}
+
+// bruteFront returns the smallest and second-smallest frontier signatures
+// by sorting a copy of the frontier.
+func bruteFront(w *walker) []Sig {
+	var sigs []Sig
+	for _, n := range w.frontier {
+		sigs = append(sigs, n.sig)
+	}
+	sort.Slice(sigs, func(i, j int) bool { return sigs[i] < sigs[j] })
+	if len(sigs) > 2 {
+		sigs = sigs[:2]
+	}
+	return sigs
+}
+
+// checkFront compares Shard.Front against bruteFront.
+func checkFront(t *testing.T, s *Shard, where string) {
+	t.Helper()
+	want := bruteFront(&s.w)
+	front, next, n := s.Front()
+	if got := []Sig{front, next}[:n]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%v %s: Front %q, want %q", s.opts.Search, where, got, want)
+	}
+}
+
+// TestWalkerFrontMatchesBruteForce checks that Front and Handoff find the
+// two smallest pending nodes under every strategy, after schedule and after
+// AddPrefix of a unit that may order anywhere in the frontier.
+func TestWalkerFrontMatchesBruteForce(t *testing.T) {
+	for _, search := range []SearchStrategy{SearchDFS, SearchBFS, SearchRandom} {
+		s := NewShard(branchProgram(6, nil), ShardOptions{Search: search, Seed: 3})
+		s.AddPrefix(nil, "")
+		checkFront(t, s, "root")
+		type unit struct {
+			prefix []Step
+			sig    Sig
+		}
+		var given []unit
+		for step := 0; s.Pending() > 0; step++ {
+			if _, ok := s.Step(); !ok {
+				break
+			}
+			checkFront(t, s, fmt.Sprintf("after path %d", step))
+			if step%4 == 3 && len(given) > 0 {
+				// Take back the oldest donated unit; by now it may order
+				// before, between or after the pending nodes.
+				u := given[0]
+				given = given[1:]
+				s.AddPrefix(u.prefix, u.sig)
+				checkFront(t, s, fmt.Sprintf("after addPrefix %q", u.sig))
+			}
+			if step%3 != 1 || s.Pending() < 2 {
+				continue
+			}
+			want := bruteFront(&s.w)[1]
+			prefix, sig, ok := s.Handoff()
+			if !ok || sig != want {
+				t.Fatalf("%v path %d: donated %q (ok=%v), want second-smallest %q", search, step, sig, ok, want)
+			}
+			given = append(given, unit{prefix, sig})
+			checkFront(t, s, fmt.Sprintf("after donation %d", step))
+		}
 	}
 }

@@ -164,6 +164,7 @@ func RunTable1(opt Table1Options) *Table1Result {
 		res.Stats.Completed += rep.Stats.Completed
 		res.Stats.Partial += rep.Stats.Partial
 		res.Stats.Infeasible += rep.Stats.Infeasible
+		res.Stats.Findings += rep.Stats.Findings
 		res.Stats.Instructions += rep.Stats.Instructions
 		res.Stats.SolverQueries += rep.Stats.SolverQueries
 

@@ -15,14 +15,31 @@
 // # How work is shared
 //
 // The whole tree starts as one queue unit: the empty prefix, signature "".
-// The queue hands out its smallest-signature unit first, and a worker that
-// sees another starve donates its frontier node with the second-smallest
-// signature (core.Shard.Handoff) — the subtree canonical order reaches right
-// after the donor's own next node. Both workers therefore stay at the front
-// of canonical order, which is exactly the part a signature cut keeps, so a
-// bounded run (stop-on-first-finding, MaxPaths, MaxInstructions) executes
-// few paths past its cut. Donating large, late subtrees instead keeps the
-// workers busy on paths the cut then discards.
+// The queue hands out its smallest-signature unit first. After every path a
+// worker publishes its front, the signature of its smallest pending node (a
+// worker holding nothing counts as past everything), and donates its
+// second-smallest frontier node (core.Shard.Handoff), the subtree canonical
+// order reaches right after its own next node, when another worker has run
+// past that node and the queue holds nothing for it. A worker whose front
+// orders after the queue's smallest unit takes that unit before its next
+// path; the nodes it already holds stay, for the bound to prune. Both
+// workers therefore stay at the front of canonical order, which is exactly
+// the part a signature cut (stop-on-first-finding, MaxPaths,
+// MaxInstructions) keeps.
+//
+// Donating only to idle workers is not enough under a cut. In the E0
+// limit-2 Table II cell the root holder gives away, after four paths, the
+// subtree that holds the finding and keeps only nodes ordered after it; the
+// recipient never starves, so the donor runs past the cut for the whole
+// run. Sharing with busy workers is speculative, though: the cut is not
+// known until it comes, and a run whose cut comes late keeps the work a
+// busy worker does past the others' fronts anyway. Such a hand-off costs a
+// prefix replay instead of a fork resume, so busy workers take only a
+// limited number of units (lagBase plus one per lagPer paths), which covers
+// the cuts of the Table II cells and keeps hand-offs a small share of a
+// long hunt. Unbounded runs have no cut to protect and share only with
+// idle workers: sharing with busy ones lowered their throughput
+// (EXPERIMENTS.md, "Bounded runs: lag-aware work sharing").
 //
 // # Why the result is deterministic
 //
@@ -68,21 +85,56 @@ type unit struct {
 
 // queue distributes subtree roots among workers, smallest signature first,
 // so the subtrees a signature cut keeps are explored before the ones it
-// would discard. It closes itself when every participant is blocked waiting
-// and no items remain — the frontier of the whole exploration has drained.
+// would discard. It also holds every worker's published front, from which
+// donors decide whom to give work to. It closes itself when every
+// participant is blocked waiting and no items remain — the frontier of the
+// whole exploration has drained.
 type queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	items   []unit
+	fronts  []front // per worker
+	lag     bool    // a signature cut is active: busy workers share work too
+	paths   int     // paths run so far
+	lagged  int     // units busy workers have taken (see past)
 	waiting int
-	workers int
 	closed  bool
 }
 
-func newQueue(workers int) *queue {
-	q := &queue{workers: workers}
+// front is a worker's position in canonical order: the signature of its
+// smallest pending node, or idle when it holds nothing and so counts as
+// past everything.
+type front struct {
+	sig  core.Sig
+	idle bool
+}
+
+func newQueue(workers int, lag bool) *queue {
+	q := &queue{fronts: make([]front, workers), lag: lag}
+	for i := range q.fronts {
+		q.fronts[i].idle = true
+	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
+}
+
+// lagBase and lagPer bound the units busy workers take: lagBase plus one
+// per lagPer paths run. Such a unit saves work only when the cut comes
+// before the recipient's own front, and it replays its prefix instead of
+// resuming from a fork point; without a bound, late-finding pipecore cells
+// ran 40–65% slower (EXPERIMENTS.md, "Bounded runs: lag-aware work
+// sharing"). Units are a few paths each, so lagBase covers a cut after
+// about 1 100 kept paths, even with the race detector slowing every path
+// (TestLaggingWorkerTakesFront), and a long run pays for about one hand-off
+// per lagPer paths.
+const lagBase, lagPer = 384, 512
+
+// past reports whether a worker at f has run past a unit with signature
+// sig, so the unit should go to it: always when f is idle, otherwise when f
+// orders after sig, a signature cut is active and the busy workers'
+// allowance is not used up.
+func (q *queue) past(f front, sig core.Sig) bool {
+	return f.idle || (q.lag && f.sig > sig && q.lagged < lagBase+q.paths/lagPer)
 }
 
 func (q *queue) put(u unit) {
@@ -98,20 +150,29 @@ func (q *queue) put(u unit) {
 	q.cond.Signal()
 }
 
-// get blocks until a unit is available or the exploration is over.
-func (q *queue) get() (unit, bool) {
+// pop removes the smallest unit and makes it worker w's front. Callers hold
+// the lock and have checked that a unit exists.
+func (q *queue) pop(w int) unit {
+	u := q.items[0]
+	q.items = q.items[1:]
+	q.fronts[w] = front{sig: u.sig}
+	return u
+}
+
+// get blocks until a unit is available for idle worker w or the
+// exploration is over.
+func (q *queue) get(w int) (unit, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.fronts[w] = front{idle: true}
 	for {
 		if len(q.items) > 0 {
-			u := q.items[0]
-			q.items = q.items[1:]
-			return u, true
+			return q.pop(w), true
 		}
 		if q.closed {
 			return unit{}, false
 		}
-		if q.waiting+1 == q.workers {
+		if q.waiting+1 == len(q.fronts) {
 			// Everyone else is already waiting: the tree is explored.
 			q.closed = true
 			q.cond.Broadcast()
@@ -123,11 +184,40 @@ func (q *queue) get() (unit, bool) {
 	}
 }
 
-// hungry reports whether some worker is starved — the donation signal.
-func (q *queue) hungry() bool {
+// take hands busy worker w the smallest unit when w has run past it (see
+// past), so work at the front of canonical order goes to a worker whose
+// own front the cut may discard.
+func (q *queue) take(w int) (unit, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.waiting > 0 && len(q.items) == 0
+	if len(q.items) == 0 || !q.past(q.fronts[w], q.items[0].sig) {
+		return unit{}, false
+	}
+	q.lagged++
+	return q.pop(w), true
+}
+
+// publish records busy worker w's front after a path: the signature of its
+// smallest pending node, idle when it holds none.
+func (q *queue) publish(w int, sig core.Sig, pending int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.fronts[w] = front{sig: sig, idle: pending == 0}
+	q.paths++
+}
+
+// wants reports whether worker w should donate a unit with signature sig:
+// another worker has run past it and the queue holds nothing that worker
+// would take first.
+func (q *queue) wants(w int, sig core.Sig) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for j, f := range q.fronts {
+		if j != w && q.past(f, sig) && (len(q.items) == 0 || !q.past(f, q.items[0].sig)) {
+			return true
+		}
+	}
+	return false
 }
 
 // stop shuts the queue down early (budget expiry).
@@ -158,7 +248,7 @@ type coord struct {
 	hasBound bool
 	stopped  bool // MaxTime expired mid-run
 
-	handoffs atomic.Uint64 // subtrees donated to starved workers (telemetry)
+	handoffs atomic.Uint64 // subtrees donated to other workers (telemetry)
 
 	progressEvery int
 }
@@ -280,6 +370,9 @@ func accumulate(st *core.Stats, r core.PathRecord) {
 		st.Completed++
 	case core.PathInfeasible:
 		st.Infeasible++
+	case core.PathFinding:
+		st.Partial++
+		st.Findings++
 	default:
 		st.Partial++
 	}
@@ -437,8 +530,8 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	}
 
 	// The whole tree is one unit; workers split it by donating frontier
-	// nodes whenever another worker is starved.
-	q := newQueue(workers)
+	// nodes to workers that have run past them (see workerLoop).
+	q := newQueue(workers, opts.StopOnFirstFinding || c.needOrder())
 	q.put(unit{sig: ""})
 
 	var wg sync.WaitGroup
@@ -448,7 +541,7 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 			defer wg.Done()
 			// pprof labels attribute CPU samples per worker and phase.
 			obs.LabelWorker(opts.Obs, i+1, obs.PhaseExplore, func() {
-				workerLoop(sh, q, c)
+				workerLoop(i, sh, q, c)
 			})
 		}(i, shards[i])
 	}
@@ -468,12 +561,16 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 	return rep
 }
 
-// workerLoop pulls subtree roots off the queue and explores them, donating
-// its second-smallest frontier node (core.Shard.Handoff) whenever another
-// worker is starved.
-func workerLoop(sh *core.Shard, q *queue, c *coord) {
+// workerLoop pulls subtree roots off the queue and explores them. After
+// every path it donates its second-smallest frontier node
+// (core.Shard.Handoff) when another worker has run past that node: an idle
+// worker always has, and under a signature cut so has a busy worker whose
+// front orders after it, within the busy workers' allowance. Before every
+// path it takes a queued unit it has run past; the nodes it already holds
+// stay for the bound to prune.
+func workerLoop(w int, sh *core.Shard, q *queue, c *coord) {
 	for {
-		u, ok := q.get()
+		u, ok := q.get(w)
 		if !ok {
 			return
 		}
@@ -486,12 +583,17 @@ func workerLoop(sh *core.Shard, q *queue, c *coord) {
 			if b, ok := c.bound(); ok {
 				sh.SetBound(b)
 			}
+			if u, ok := q.take(w); ok {
+				sh.AddPrefix(u.prefix, u.sig)
+			}
 			rec, ok := sh.Step()
 			if !ok {
 				break // frontier drained or fully pruned
 			}
 			c.record(rec)
-			if sh.Pending() > 1 && q.hungry() {
+			front, next, n := sh.Front()
+			q.publish(w, front, n)
+			if n > 1 && q.wants(w, next) {
 				if prefix, sig, ok := sh.Handoff(); ok {
 					// The donated subtree's cached answers travel with it;
 					// counter/phase shards merge at the same hand-off point.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"symriscv/internal/obs"
 	"symriscv/internal/parexplore"
 	"symriscv/internal/rvfi"
+	"symriscv/internal/smt"
 )
 
 // findingTree enumerates 2^bits paths over one symbolic byte and reports a
@@ -160,6 +162,123 @@ func TestBoundedShardingWaste(t *testing.T) {
 		}
 		if got := snap.Counters[core.CtrPathsExecuted]; got != uint64(runs.Load()) {
 			t.Errorf("%s: %s = %d, want %d", tc.name, core.CtrPathsExecuted, got, runs.Load())
+		}
+	}
+}
+
+// e0ShapeTree has the shape of the E0 limit-2 Table II cell: a true first
+// decision leads to a 2-path stub followed by an 11-bit subtree with a
+// finding at index at, and the false side is another 11-bit subtree. After
+// its first path the root holder donates the subtree holding the finding
+// and keeps only nodes ordered after it. Every path sleeps like
+// lateFindingTree's, and per counts the paths each worker executes, keyed
+// by its term context.
+func e0ShapeTree(at int, per *perWorker) core.RunFunc {
+	return func(e *core.Engine) error {
+		per.add(e.Context())
+		ctx := e.Context()
+		v := e.MakeSymbolic("v", 16)
+		bit := func(i int) bool { return e.Branch(ctx.Eq(ctx.Extract(v, i, i), ctx.BV(1, 1))) }
+		subtree := func(from int) int {
+			idx := 0
+			for i := from; i < from+11; i++ {
+				idx <<= 1
+				if !bit(i) {
+					idx |= 1
+				}
+			}
+			return idx
+		}
+		idx := -1 // index in the subtree that holds the finding
+		switch {
+		case !bit(0):
+			subtree(1)
+		case bit(1):
+			bit(2)
+		default:
+			idx = subtree(2)
+		}
+		time.Sleep(100 * time.Microsecond)
+		if idx == at {
+			return fmt.Errorf("finding at %d", idx)
+		}
+		return nil
+	}
+}
+
+// perWorker counts executed paths per worker term context.
+type perWorker struct {
+	mu sync.Mutex
+	n  map[*smt.Context]int
+}
+
+func (p *perWorker) add(ctx *smt.Context) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n == nil {
+		p.n = map[*smt.Context]int{}
+	}
+	p.n[ctx]++
+}
+
+// TestLaggingWorkerTakesFront checks that under a signature cut a worker
+// that has run past another worker's frontier takes work from that
+// frontier: on the E0-shaped tree two workers execute at most 1.3 times the
+// kept paths plus two per worker, and each executes at least 30% of the
+// kept paths, so neither idles while the other does the kept work. Idle-only
+// donation left the root holder past the cut for the whole run (2 215
+// executed for 1 103 kept, and 1 502 for 1 000). Both cuts come within the
+// busy workers' allowance, also under the race detector.
+func TestLaggingWorkerTakesFront(t *testing.T) {
+	const at, workers = 1100, 2
+	cases := []struct {
+		name string
+		opts core.Options
+		kept int
+	}{
+		{"stop-on-first-finding", core.Options{StopOnFirstFinding: true}, 2 + at + 1},
+		{"max-paths", core.Options{MaxPaths: 1000}, 1000},
+	}
+	for _, tc := range cases {
+		var per perWorker
+		rep := parexplore.Explore(e0ShapeTree(at, &per), tc.opts, workers)
+		if rep.Stats.Paths != tc.kept {
+			t.Fatalf("%s: kept %d paths, want %d", tc.name, rep.Stats.Paths, tc.kept)
+		}
+		total := 0
+		for _, n := range per.n {
+			total += n
+		}
+		t.Logf("%s: executed %d kept %d, per worker %v", tc.name, total, tc.kept, per.n)
+		if limit := 13*tc.kept/10 + 2*workers; total > limit {
+			t.Errorf("%s: executed %d paths to keep %d (limit %d)", tc.name, total, tc.kept, limit)
+		}
+		if len(per.n) != workers {
+			t.Fatalf("%s: %d workers executed paths, want %d", tc.name, len(per.n), workers)
+		}
+		for _, n := range per.n {
+			if 10*n < 3*tc.kept {
+				t.Errorf("%s: a worker executed %d paths, under 30%% of %d kept", tc.name, n, tc.kept)
+			}
+		}
+	}
+}
+
+// TestStatsFindingsCountsKeptFindings checks Stats.Findings counts the
+// findings the report keeps, sequentially and at every worker count, with
+// and without a canonical cut.
+func TestStatsFindingsCountsKeptFindings(t *testing.T) {
+	for _, opts := range []core.Options{{}, {MaxPaths: 20}} {
+		seq := core.NewExplorer(findingTree(6)).Explore(opts)
+		reps := []*core.Report{seq}
+		for _, workers := range []int{1, 2, 4} {
+			reps = append(reps, parexplore.Explore(findingTree(6), opts, workers))
+		}
+		for i, rep := range reps {
+			if rep.Stats.Findings != len(rep.Findings) || rep.Stats.Findings != len(seq.Findings) {
+				t.Errorf("MaxPaths %d, run %d: Stats.Findings %d, %d findings kept, sequential %d",
+					opts.MaxPaths, i, rep.Stats.Findings, len(rep.Findings), len(seq.Findings))
+			}
 		}
 	}
 }
