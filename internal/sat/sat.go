@@ -1,10 +1,8 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT solver
 // in the MiniSat lineage: two-literal watching with blocker literals and a
 // dedicated binary-clause fast path, first-UIP conflict analysis, VSIDS
-// variable activity with phase saving and target phasing, switchable
-// Luby/LBD-EMA restarts, LBD-tiered learnt-clause retention, and clause
-// inprocessing (subsumption, self-subsuming resolution, bounded variable
-// elimination — see inprocess.go).
+// variable activity with phase saving, Luby restarts and LBD-tiered
+// learnt-clause retention. The heuristic parameters are fixed constants.
 //
 // The solver is incremental: variables and clauses may be added between calls
 // to Solve, and Solve accepts assumption literals that hold only for that
@@ -17,6 +15,24 @@ import (
 	"fmt"
 	"io"
 	"sort"
+)
+
+// Heuristic parameters, tuned on the symbolic-execution workload (see
+// EXPERIMENTS.md, "SAT-core raw speed"). Two solvers fed the same clauses and
+// Solve calls produce identical answers, models and statistics.
+const (
+	// lubyUnit scales the Luby restart sequence (conflicts per unit).
+	lubyUnit = 100
+	// varDecayFactor is the VSIDS activity decay factor: activity
+	// increments grow by 1/varDecayFactor per conflict.
+	varDecayFactor = 0.99
+	// claDecayFactor is the learnt-clause activity decay factor.
+	claDecayFactor = 0.999
+	// coreLBD bounds the learnt-clause tier kept forever; tier2LBD bounds
+	// the mid tier that survives while recently used. Everything above lives
+	// in the activity-sorted local tier that reduceDB halves.
+	coreLBD  = 3
+	tier2LBD = 6
 )
 
 // Var is a propositional variable index, starting at 0.
@@ -68,10 +84,8 @@ type clause struct {
 	lits   []Lit
 	act    float32
 	lbd    uint32
-	sig    uint64 // occurrence abstraction, maintained during inprocessing only
-	used   uint8  // tier2 retention window: refreshed on use, decayed by reduceDB
+	used   uint8 // tier2 retention window: refreshed on use, decayed by reduceDB
 	learnt bool
-	dead   bool // removed by inprocessing; compacted out before search resumes
 }
 
 type watcher struct {
@@ -107,11 +121,7 @@ type Stats struct {
 	Propagations uint64
 	Restarts     uint64
 	Learnt       uint64 // learnt clauses created
-	Removed      uint64 // learnt clauses deleted (reduceDB + inprocessing)
-	Subsumed     uint64 // problem clauses removed by subsumption
-	Strengthened uint64 // literals removed by self-subsuming resolution
-	Eliminated   uint64 // variables removed by bounded variable elimination
-	Restored     uint64 // eliminated variables brought back by reuse
+	Removed      uint64 // learnt clauses deleted by reduceDB
 }
 
 // Add accumulates o into s field by field (for merging per-worker solvers).
@@ -122,16 +132,10 @@ func (s *Stats) Add(o Stats) {
 	s.Restarts += o.Restarts
 	s.Learnt += o.Learnt
 	s.Removed += o.Removed
-	s.Subsumed += o.Subsumed
-	s.Strengthened += o.Strengthened
-	s.Eliminated += o.Eliminated
-	s.Restored += o.Restored
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	opts Options
-
 	clauses []*clause
 	learnts []*clause
 
@@ -142,10 +146,6 @@ type Solver struct {
 	reason   []*clause
 	phase    []uint8 // saved polarity: 0 positive, 1 negative
 	activity []float64
-
-	targetPhase []uint8 // best-trail polarity of the current Solve call
-	targetStamp []uint64
-	solveTick   uint64
 
 	trail    []Lit
 	trailLim []int32
@@ -161,23 +161,11 @@ type Solver struct {
 	levelStamp []uint64 // computeLBD scratch, indexed by decision level
 	lbdTick    uint64
 
-	lbdFast float64 // short-term LBD EMA (RestartEMA)
-	lbdSlow float64 // long-term LBD EMA
-
 	lastAssumps []Lit // assumption prefix of the previous Solve (trail reuse)
 
 	ok bool // false once the clause set is unsat at level 0
 
 	conflictAssumps []Lit // failed assumptions after an Unsat answer
-
-	// Inprocessing state (see inprocess.go).
-	elimIdx         []int32 // per var: 1+index into elimStack when eliminated
-	elimStack       []elimEntry
-	frozen          []bool   // per var: protected from elimination this round
-	litStamp        []uint64 // per Lit: subset-check scratch
-	stampTick       uint64
-	clausesAtSimp   int
-	conflictsAtSimp uint64
 
 	stats Stats
 
@@ -185,25 +173,15 @@ type Solver struct {
 	ConflictBudget uint64
 }
 
-// New returns an empty solver with the tuned default options.
+// New returns an empty solver.
 func New() *Solver {
-	return NewWith(DefaultOptions())
-}
-
-// NewWith returns an empty solver with the given heuristic parameters.
-func NewWith(o Options) *Solver {
 	return &Solver{
-		opts:       o,
 		varInc:     1,
 		claInc:     1,
 		ok:         true,
 		levelStamp: make([]uint64, 1),
 	}
 }
-
-// SetInprocessing toggles clause-database inprocessing. Turning it off never
-// undoes past simplification; it only stops future rounds.
-func (s *Solver) SetInprocessing(on bool) { s.opts.Inprocess = on }
 
 // Stats returns cumulative counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -214,29 +192,17 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // NumClauses returns the number of problem clauses currently stored.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// NewVar creates a fresh variable.
+// NewVar creates a fresh variable. Its saved phase starts negative.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
-	p := uint8(1)
-	if s.opts.PhaseSeed != 0 {
-		st := s.opts.PhaseSeed + uint64(v)
-		p = uint8(splitmix64(&st) & 1)
-	} else if s.opts.InitPhase {
-		p = 0
-	}
 	s.assigns = append(s.assigns, uint8(lUndef))
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.phase = append(s.phase, p)
+	s.phase = append(s.phase, 1)
 	s.activity = append(s.activity, 0)
-	s.targetPhase = append(s.targetPhase, 0)
-	s.targetStamp = append(s.targetStamp, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.levelStamp = append(s.levelStamp, 0)
-	s.elimIdx = append(s.elimIdx, 0)
-	s.frozen = append(s.frozen, false)
-	s.litStamp = append(s.litStamp, 0, 0)
 	s.order.insert(v, s.activity)
 	return v
 }
@@ -258,21 +224,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if int(l.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
 		}
-		// An eliminated variable reappearing in a new clause gets its
-		// original clauses restored first, so the instance keeps meaning
-		// exactly what the caller asserted.
-		if s.elimIdx[l.Var()] != 0 {
-			s.restoreVar(l.Var())
-		}
 	}
-	if !s.ok {
-		return false
-	}
-	return s.addClauseInternal(lits)
-}
-
-// addClauseInternal is AddClause after eliminated-variable restoration.
-func (s *Solver) addClauseInternal(lits []Lit) bool {
 	// Fast path: attach the clause without disturbing the current trail.
 	// Incremental callers interleave encoding and solving, and backtracking
 	// to level 0 on every added clause would throw away (and then redo) the
@@ -523,7 +475,7 @@ func (s *Solver) varBump(v Var) {
 	s.order.update(v, s.activity)
 }
 
-func (s *Solver) varDecay() { s.varInc /= s.opts.VarDecay }
+func (s *Solver) varDecay() { s.varInc /= varDecayFactor }
 
 func (s *Solver) claBump(c *clause) {
 	c.act += float32(s.claInc)
@@ -535,7 +487,7 @@ func (s *Solver) claBump(c *clause) {
 	}
 }
 
-func (s *Solver) claDecay() { s.claInc /= s.opts.ClauseDecay }
+func (s *Solver) claDecay() { s.claInc /= claDecayFactor }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
 // (asserting literal first) and the backtrack level.
@@ -681,7 +633,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 	s.seen[p.Var()] = false
 }
 
-func (s *Solver) pickBranchLit(useTarget bool) Lit {
+func (s *Solver) pickBranchLit() Lit {
 	act := s.activity
 	for {
 		v, ok := s.order.removeMax(act)
@@ -689,11 +641,7 @@ func (s *Solver) pickBranchLit(useTarget bool) Lit {
 			return -1
 		}
 		if s.assigns[v] >= uint8(lUndef) {
-			pol := s.phase[v]
-			if useTarget && s.targetStamp[v] == s.solveTick {
-				pol = s.targetPhase[v]
-			}
-			return Lit(v)<<1 | Lit(pol)
+			return Lit(v)<<1 | Lit(s.phase[v])
 		}
 	}
 }
@@ -716,17 +664,8 @@ func luby(i uint64) uint64 {
 	return uint64(1) << seq
 }
 
-// restartDue applies the configured restart policy.
-func (s *Solver) restartDue(sinceRestart, lubyBudget uint64) bool {
-	if s.opts.Restart == RestartEMA {
-		return sinceRestart >= s.opts.EMAMinInterval &&
-			s.lbdFast > s.opts.EMAFactor*s.lbdSlow
-	}
-	return sinceRestart >= lubyBudget
-}
-
 // reduceDB trims the learnt-clause database by tier: core clauses (binary or
-// lbd <= CoreLBD) are kept forever, tier2 clauses (lbd <= Tier2LBD) survive
+// lbd <= coreLBD) are kept forever, tier2 clauses (lbd <= tier2LBD) survive
 // while their recent-use window is open, and the local tier is halved by
 // activity. Reason ("locked") clauses are never removed.
 func (s *Solver) reduceDB() {
@@ -738,9 +677,9 @@ func (s *Solver) reduceDB() {
 	var local []*clause
 	for _, c := range ls {
 		switch {
-		case len(c.lits) <= 2 || c.lbd <= s.opts.CoreLBD:
+		case len(c.lits) <= 2 || c.lbd <= coreLBD:
 			keep = append(keep, c)
-		case c.lbd <= s.opts.Tier2LBD && c.used > 0:
+		case c.lbd <= tier2LBD && c.used > 0:
 			c.used--
 			keep = append(keep, c)
 		default:
@@ -796,26 +735,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
-	// Assumptions over eliminated variables bring the original clauses back
-	// before search, so failed-assumption analysis sees the real instance.
 	for _, p := range assumptions {
 		if int(p.Var()) >= len(s.assigns) {
 			panic(fmt.Sprintf("sat: assumption %v references unknown variable", p))
-		}
-		if s.elimIdx[p.Var()] != 0 {
-			s.restoreVar(p.Var())
-		}
-	}
-	if !s.ok {
-		return Unsat
-	}
-	s.solveTick++
-
-	if s.opts.Inprocess && s.inprocessDue() {
-		s.cancelUntil(0)
-		s.simplify(assumptions)
-		if !s.ok {
-			return Unsat
 		}
 	}
 
@@ -839,10 +761,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	conflictsAtStart := s.stats.Conflicts
 	var restartSeq uint64
-	restartBudget := luby(restartSeq) * s.opts.LubyUnit
+	restartBudget := luby(restartSeq) * lubyUnit
 	var conflictsSinceRestart uint64
-	restarted := false
-	bestTrail := 0
 	maxLearnts := 4000 + len(s.clauses)/2
 
 	for {
@@ -856,22 +776,17 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			}
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
-			var lbd uint32
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
-				lbd = 1
 			} else {
 				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true, used: 2}
 				c.lbd = s.computeLBD(c.lits)
-				lbd = c.lbd
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnt++
 				s.attach(c)
 				s.claBump(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			s.lbdFast += (float64(lbd) - s.lbdFast) / 32
-			s.lbdSlow += (float64(lbd) - s.lbdSlow) / 4096
 			s.varDecay()
 			s.claDecay()
 			if s.ConflictBudget > 0 && s.stats.Conflicts-conflictsAtStart > s.ConflictBudget {
@@ -882,42 +797,18 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			continue
 		}
 
-		// Target phasing: after the first restart of this call, remember the
-		// polarities of the deepest conflict-free trail seen, and steer
-		// decisions back toward it.
-		if s.opts.TargetPhase && restarted && len(s.trail) > bestTrail {
-			bestTrail = len(s.trail)
-			for _, l := range s.trail {
-				v := l.Var()
-				s.targetPhase[v] = uint8(l) & 1
-				s.targetStamp[v] = s.solveTick
-			}
-		}
-
-		if s.restartDue(conflictsSinceRestart, restartBudget) {
+		if conflictsSinceRestart >= restartBudget {
 			conflictsSinceRestart = 0
 			restartSeq++
-			restartBudget = luby(restartSeq) * s.opts.LubyUnit
-			restarted = true
+			restartBudget = luby(restartSeq) * lubyUnit
 			s.stats.Restarts++
-			s.lbdFast = s.lbdSlow
-			if s.opts.Inprocess && s.inprocessDue() {
-				// Inprocessing needs level 0; assumption levels are
-				// re-established by the loop below afterwards.
-				s.cancelUntil(0)
-				s.simplify(assumptions)
-				if !s.ok {
-					return Unsat
-				}
-			} else {
-				// Restart the search but keep the assumption prefix: levels
-				// 1..len(assumptions) are assumption levels by construction.
-				al := int32(len(assumptions))
-				if dl := s.decisionLevel(); dl < al {
-					al = dl
-				}
-				s.cancelUntil(al)
+			// Restart the search but keep the assumption prefix: levels
+			// 1..len(assumptions) are assumption levels by construction.
+			al := int32(len(assumptions))
+			if dl := s.decisionLevel(); dl < al {
+				al = dl
 			}
+			s.cancelUntil(al)
 			continue
 		}
 		if len(s.learnts) > maxLearnts {
@@ -947,9 +838,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		if next == -1 {
 			s.stats.Decisions++
-			next = s.pickBranchLit(s.opts.TargetPhase && restarted)
+			next = s.pickBranchLit()
 			if next == -1 {
-				s.extendModel()
 				return Sat // all variables assigned
 			}
 		}
@@ -958,9 +848,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 }
 
-// ValueOf returns the model value of v after a Sat answer. Unassigned
-// variables (possible after simplification) read as false; eliminated
-// variables read their model-extension value (see extendModel).
+// ValueOf returns the model value of v after a Sat answer.
 func (s *Solver) ValueOf(v Var) bool {
 	return s.assigns[v] == uint8(lTrue)
 }
@@ -1024,26 +912,6 @@ func (h *varHeap) removeMax(act []float64) (Var, bool) {
 	return v, true
 }
 
-// remove deletes v from the heap (used when a variable is eliminated).
-func (h *varHeap) remove(v Var, act []float64) {
-	if int(v) >= len(h.indices) || h.indices[v] == 0 {
-		return
-	}
-	i := int(h.indices[v]) - 1
-	h.indices[v] = 0
-	last := len(h.heap) - 1
-	if i == last {
-		h.heap = h.heap[:last]
-		return
-	}
-	w := h.heap[last]
-	h.heap = h.heap[:last]
-	h.heap[i] = w
-	h.indices[w] = int32(i + 1)
-	h.down(i, act)
-	h.up(int(h.indices[w])-1, act)
-}
-
 func (h *varHeap) up(i int, act []float64) {
 	v := h.heap[i]
 	av := act[v]
@@ -1085,11 +953,8 @@ func (h *varHeap) down(i int, act []float64) {
 
 // WriteDIMACS dumps the problem clauses (not learnt clauses) plus the
 // current level-0 unit assignments in DIMACS CNF format, for interoperating
-// with external SAT tooling. Eliminated variables are restored first so the
-// dump is equivalent to the instance as asserted.
+// with external SAT tooling.
 func (s *Solver) WriteDIMACS(w io.Writer) error {
-	s.cancelUntil(0)
-	s.restoreAll()
 	s.cancelUntil(0)
 	units := len(s.trail)
 	if !s.ok {

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -293,8 +294,104 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestRandomSimplifyDifferential cross-checks an incrementally built solver
+// against a fresh one and brute force, on the usage pattern of the
+// bit-blasting layer above: half the clauses, an assumption query, then the
+// other half added onto the reused assumption trail. The late clauses go
+// through AddClause's simplification (level-0 false/true literals,
+// duplicates, tautologies) and live attachment. Sat models are validated
+// against the original clauses and Unsat assumption cores are re-verified by
+// enumeration.
+func TestRandomSimplifyDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randomCNF := func(n, m int) [][]Lit {
+		cnf := make([][]Lit, 0, m)
+		for i := 0; i < m; i++ {
+			k := 1 + rng.Intn(3)
+			cl := make([]Lit, 0, k)
+			for j := 0; j < k; j++ {
+				cl = append(cl, MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1))
+			}
+			cnf = append(cnf, cl)
+		}
+		return cnf
+	}
+	randomAssumps := func(n int) []Lit {
+		return []Lit{
+			MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1),
+			MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1),
+		}
+	}
+	for iter := 0; iter < 300; iter++ {
+		n := 5 + rng.Intn(8) // 5..12 vars
+		m := 3 + rng.Intn(5*n)
+		cnf := randomCNF(n, m)
+
+		s := New()
+		newVars(s, n)
+		half := len(cnf) / 2
+		for _, cl := range cnf[:half] {
+			s.AddClause(cl...)
+		}
+		s.Solve(randomAssumps(n)...) // leave learnt clauses and an assumption trail behind
+		for _, cl := range cnf[half:] {
+			s.AddClause(cl...)
+		}
+
+		fresh := New()
+		newVars(fresh, n)
+		for _, cl := range cnf {
+			fresh.AddClause(cl...)
+		}
+
+		want := bruteForce(n, cnf)
+		got, gotFresh := s.Solve(), fresh.Solve()
+		if (got == Sat) != want || (gotFresh == Sat) != want {
+			t.Fatalf("iter %d: incremental=%v fresh=%v bruteforce=%v cnf=%v", iter, got, gotFresh, want, cnf)
+		}
+		if got == Sat {
+			for _, cl := range cnf {
+				if !slices.ContainsFunc(cl, s.LitValue) {
+					t.Fatalf("iter %d: model violates original clause %v", iter, cl)
+				}
+			}
+		}
+
+		// Assumption query over the same incremental instance.
+		assumps := randomAssumps(n)
+		withAssumps := append([][]Lit(nil), cnf...)
+		for _, a := range assumps {
+			withAssumps = append(withAssumps, []Lit{a})
+		}
+		wantA := bruteForce(n, withAssumps)
+		gotA, gotFreshA := s.Solve(assumps...), fresh.Solve(assumps...)
+		if (gotA == Sat) != wantA || (gotFreshA == Sat) != wantA {
+			t.Fatalf("iter %d: assumptions %v: incremental=%v fresh=%v bruteforce=%v cnf=%v",
+				iter, assumps, gotA, gotFreshA, wantA, cnf)
+		}
+		if gotA == Unsat && want {
+			// The core must be a genuinely unsatisfiable subset (the clause
+			// set alone is sat, so the core cannot be empty).
+			failed := s.FailedAssumptions()
+			if len(failed) == 0 {
+				t.Fatalf("iter %d: empty core for sat clause set", iter)
+			}
+			// FailedAssumptions holds the negations of the responsible
+			// assumptions; the core itself is their complement.
+			withCore := append([][]Lit(nil), cnf...)
+			for _, l := range failed {
+				withCore = append(withCore, []Lit{l.Neg()})
+			}
+			if bruteForce(n, withCore) {
+				t.Fatalf("iter %d: core %v not actually unsat", iter, failed)
+			}
+		}
+	}
+}
+
 // TestAssumptionEquivalence checks that solving under assumptions answers the
-// same as solving with those assumptions added as unit clauses.
+// same as solving with those assumptions added as unit clauses, and that an
+// Unsat answer's failed-assumption core is genuinely unsatisfiable.
 func TestAssumptionEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -338,8 +435,32 @@ func TestAssumptionEquivalence(t *testing.T) {
 			s2.AddClause(a)
 		}
 		got2 := s2.Solve()
+		if (got1 == Sat) != (got2 == Sat) {
+			return false
+		}
 
-		return (got1 == Sat) == (got2 == Sat)
+		// An Unsat answer over a satisfiable clause set blames the
+		// assumptions: the failed-assumption core must be a nonempty subset
+		// of them that is itself unsat with the clauses (by enumeration).
+		if got1 == Unsat && bruteForce(n, cnf) {
+			failed := s1.FailedAssumptions()
+			if len(failed) == 0 {
+				return false
+			}
+			withCore := append([][]Lit(nil), cnf...)
+			for _, l := range failed {
+				// FailedAssumptions holds the negations of the responsible
+				// assumptions; the core itself is their complement.
+				if !slices.Contains(assumps, l.Neg()) {
+					return false
+				}
+				withCore = append(withCore, []Lit{l.Neg()})
+			}
+			if bruteForce(n, withCore) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

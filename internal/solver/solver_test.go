@@ -469,3 +469,125 @@ func TestStatsConcurrentSampling(t *testing.T) {
 		t.Fatalf("final stats inconsistent: %+v", st)
 	}
 }
+
+// TestAssertConstantFolding pins the constant fast paths in Assert: true
+// terms (the rewriter's usual verdict on redundant path conditions) must not
+// reach the bit-blaster, and false terms must make the instance trivially
+// unsat without corrupting failed-assumption analysis on later checks.
+func TestAssertConstantFolding(t *testing.T) {
+	ctx := smt.NewContext()
+	s := New(ctx)
+	x := ctx.Var("x", 8)
+
+	before := s.sat.NumVars()
+	s.Assert(ctx.True())
+	s.Assert(ctx.Eq(ctx.BV(8, 3), ctx.BV(8, 3))) // folds to true
+	if s.sat.NumVars() != before || s.sat.NumClauses() != 0 {
+		t.Fatalf("true assert touched the SAT instance: %d vars %d clauses",
+			s.sat.NumVars(), s.sat.NumClauses())
+	}
+	if s.Check() != Sat {
+		t.Fatal("true asserts must keep the instance sat")
+	}
+
+	s.Assert(ctx.Eq(x, ctx.BV(8, 1)))
+	if s.Check() != Sat || s.ModelValue(x) != 1 {
+		t.Fatal("normal assert broken after constant asserts")
+	}
+
+	s.Assert(ctx.False())
+	if s.Check() != Unsat {
+		t.Fatal("false assert must make the instance unsat")
+	}
+	// Clause-set-level conflict: CheckCore must answer Unsat with a nil core
+	// (callers fall back to the full assumption set), and stay that way.
+	res, core := s.CheckCore(ctx.Eq(x, ctx.BV(8, 1)))
+	if res != Unsat || core != nil {
+		t.Fatalf("CheckCore after false assert: %v core=%v, want Unsat nil", res, core)
+	}
+	if s.Check(ctx.Eq(x, ctx.BV(8, 2))) != Unsat {
+		t.Fatal("solver must stay trivially unsat")
+	}
+}
+
+// randConstraint builds a random boolean constraint over the given variables.
+func randConstraint(rng *rand.Rand, ctx *smt.Context, vars []*smt.Term) *smt.Term {
+	a := randTerm(rng, ctx, vars, 2)
+	b := randTerm(rng, ctx, vars, 2)
+	switch rng.Intn(5) {
+	case 0:
+		return ctx.Eq(a, b)
+	case 1:
+		return ctx.Ne(a, b)
+	case 2:
+		return ctx.Ult(a, b)
+	case 3:
+		return ctx.Slt(a, b)
+	default:
+		return ctx.Ule(a, b)
+	}
+}
+
+// TestIncrementalDifferentialQFBV fuzzes one long-lived solver, fed random
+// QF_BV constraint sets through incremental asserts and assumption queries,
+// against a fresh solver per query that sees the same facts at once. Answers
+// must agree; Sat models are re-checked by the term evaluator; Unsat cores are
+// re-verified by another fresh solver.
+func TestIncrementalDifferentialQFBV(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 20; iter++ {
+		ctx := smt.NewContext()
+		inc := New(ctx)
+		x := ctx.Var("x", 32)
+		y := ctx.Var("y", 32)
+		vars := []*smt.Term{x, y}
+
+		var asserted []*smt.Term
+		for round := 0; round < 8; round++ {
+			if rng.Intn(3) == 0 {
+				c := randConstraint(rng, ctx, vars)
+				asserted = append(asserted, c)
+				inc.Assert(c)
+			}
+			assumps := make([]*smt.Term, 1+rng.Intn(3))
+			for i := range assumps {
+				assumps[i] = randConstraint(rng, ctx, vars)
+			}
+			rInc, core := inc.CheckCore(assumps...)
+			fresh := New(ctx)
+			for _, c := range asserted {
+				fresh.Assert(c)
+			}
+			if rFresh := fresh.Check(assumps...); rInc != rFresh {
+				t.Fatalf("iter %d round %d: incremental=%v fresh=%v (asserted %v assumps %v)",
+					iter, round, rInc, rFresh, asserted, assumps)
+			}
+			switch rInc {
+			case Sat:
+				env := inc.Model()
+				for _, c := range append(append([]*smt.Term{}, asserted...), assumps...) {
+					v, err := smt.Eval(c, env)
+					if err != nil {
+						t.Fatalf("iter %d round %d: eval: %v", iter, round, err)
+					}
+					if v != 1 {
+						t.Fatalf("iter %d round %d: model violates %v", iter, round, c)
+					}
+				}
+			case Unsat:
+				// Re-verify the core (or, for a clause-set-level conflict,
+				// the asserted facts alone) on a fresh solver.
+				chk := New(ctx)
+				for _, c := range asserted {
+					chk.Assert(c)
+				}
+				if got := chk.Check(core...); got != Unsat {
+					t.Fatalf("iter %d round %d: core %v not actually unsat (%v)",
+						iter, round, core, got)
+				}
+			default:
+				t.Fatalf("iter %d round %d: unexpected %v", iter, round, rInc)
+			}
+		}
+	}
+}
