@@ -27,17 +27,14 @@
 //	-cache on|off  query-elimination layer (stack models, independence
 //	               slicing, feasibility caching)
 //	-rewrite on|off extended term rewrites ahead of bit-blasting
-//	-fork on|off   fork-point state checkpointing (siblings resume from a
-//	               snapshot instead of replaying the decision prefix)
 //	-json          emit machine-readable JSON instead of the table
 //	-trace FILE    write a JSONL span/counter trace (inspect with symv trace)
 //	-metrics       print the aggregated per-phase table to stderr afterwards
 //
-// -cache=off, -rewrite=off and -fork=off are ablation switches — reports are
-// identical on and off by construction, only the solver and replay work
-// changes (see internal/querycache, internal/core/snapshot.go). -trace and
-// -metrics are side channels: they never change a report either (see
-// internal/obs).
+// -cache=off and -rewrite=off are ablation switches — reports are identical
+// on and off by construction, only the solver work changes (see
+// internal/querycache). -trace and -metrics are side channels: they never
+// change a report either (see internal/obs).
 package main
 
 import (
@@ -171,7 +168,7 @@ commands:
 
 shared flags (every exploration command):
   -core microrv32|pipecore  -workers N  -cache on|off  -rewrite on|off
-  -fork on|off  -store DIR  -json  -trace FILE  -metrics`)
+  -store DIR  -json  -trace FILE  -metrics`)
 }
 
 // sharedFlags is the flag group every exploration subcommand registers: the
@@ -182,7 +179,6 @@ type sharedFlags struct {
 	core    *string
 	cache   *string
 	rewrite *string
-	fork    *string
 	store   *string
 	jsonOut *bool
 	trace   *string
@@ -202,7 +198,6 @@ func sharedGroup(fs *flag.FlagSet) *sharedFlags {
 			"device under test: microrv32 | pipecore (default microrv32; the lint commands also accept both)"),
 		cache:   fs.String("cache", "on", "query-elimination layer (stack models, slicing, feasibility cache): on | off"),
 		rewrite: fs.String("rewrite", "on", "extended term rewrites ahead of bit-blasting: on | off"),
-		fork:    fs.String("fork", "on", "fork-point state checkpointing (siblings resume from snapshots instead of replaying the prefix): on | off"),
 		store: fs.String("store", "",
 			"persistent witness store directory: load compatible cache entries at startup, persist new ones at exploration boundaries (inspect with symv cache)"),
 		jsonOut: fs.Bool("json", false, "emit machine-readable JSON instead of the table"),
@@ -229,9 +224,6 @@ func (g *sharedFlags) build(cmd string, stderr io.Writer, keyParts ...string) (h
 	}
 	if c.Rewrite, ok = harness.ParseToggle(*g.rewrite); !ok {
 		return c, nil, badUsage(stderr, "bad -rewrite=%q (want on or off)", *g.rewrite)
-	}
-	if c.Fork, ok = harness.ParseToggle(*g.fork); !ok {
-		return c, nil, badUsage(stderr, "bad -fork=%q (want on or off)", *g.fork)
 	}
 	if g.allowBothCores && (*g.core == "" || isAllCores(*g.core)) {
 		// The command fans out over every core itself (harness.LintDUTCores);

@@ -43,6 +43,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"bad -cache toggle", []string{"hunt", "-cache", "maybe"}, "bad -cache"},
 		{"bad -rewrite toggle", []string{"hunt", "-rewrite", "maybe"}, "bad -rewrite"},
 		{"bad -workers value", []string{"hunt", "-workers", "three"}, "invalid value"},
+		// Every path replays its decision prefix; there is no -fork toggle.
+		{"removed -fork flag", []string{"hunt", "-fork", "on"}, "flag provided but not defined: -fork"},
 
 		{"bad -core value", []string{"hunt", "-core", "bogus"}, "bad -core"},
 		// The deprecated table2 -dut alias is removed: any use of it, alone or

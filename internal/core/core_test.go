@@ -534,11 +534,73 @@ func TestSolverBudgetAbortsPathAsPartial(t *testing.T) {
 		e.Branch(ctx.Eq(ctx.Mul(a, b), ctx.BV(32, 0x12345679)))
 		return nil
 	})
-	rep := x.Explore(Options{SolverConflictBudget: 1, MaxPaths: 4})
+	x.sol.SetConflictBudget(1)
+	rep := x.Explore(Options{MaxPaths: 4})
 	if rep.Stats.Completed != 0 {
 		t.Skip("instance solved within one conflict on this build")
 	}
 	if rep.Stats.Partial == 0 {
 		t.Fatalf("expected partial paths under a starved budget: %v", rep.Stats)
+	}
+}
+
+// TestForkReplayEquivalence pins replay-based forking at the core level:
+// every search strategy, with the query cache on and off, replays its way
+// through the same complete tree with the deterministic statistics of the
+// depth-first, cache-on reference.
+func TestForkReplayEquivalence(t *testing.T) {
+	ref := NewExplorer(branchProgram(5, nil)).Explore(Options{})
+	strategies := []struct {
+		name string
+		s    SearchStrategy
+	}{{"dfs", SearchDFS}, {"bfs", SearchBFS}, {"random", SearchRandom}}
+	for _, st := range strategies {
+		for _, noCache := range []bool{false, true} {
+			name := fmt.Sprintf("%s/cache=%v", st.name, !noCache)
+			t.Run(name, func(t *testing.T) {
+				seen := map[uint64]int{}
+				rep := NewExplorer(branchProgram(5, func(p uint64) { seen[p]++ })).Explore(Options{
+					Search:       st.s,
+					Seed:         7,
+					NoQueryCache: noCache,
+				})
+				if rep.Stats.Paths != ref.Stats.Paths ||
+					rep.Stats.Completed != ref.Stats.Completed ||
+					rep.Stats.Partial != ref.Stats.Partial ||
+					rep.Stats.Infeasible != ref.Stats.Infeasible ||
+					rep.Stats.SolverQueries != ref.Stats.SolverQueries {
+					t.Fatalf("deterministic stats diverge:\nref: %v\ngot: %v", ref.Stats, rep.Stats)
+				}
+				if len(seen) != 32 {
+					t.Fatalf("pattern set incomplete: %d of 32", len(seen))
+				}
+				for p, n := range seen {
+					if n != 1 {
+						t.Fatalf("pattern %05b executed %d times", p, n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAddPCDeduplicates pins the assumption-dedup satellite: assuming the
+// same term twice adds one path constraint and one cache observation, leaving
+// the conjunction unchanged.
+func TestAddPCDeduplicates(t *testing.T) {
+	x := NewExplorer(nil)
+	var st Stats
+	eng := newEngine(x.ctx, x.sol, nil, &st, nil)
+	ctx := eng.Context()
+	v := eng.MakeSymbolic("v", 8)
+	c := ctx.Eq(v, ctx.BV(8, 3))
+	eng.Assume(c)
+	eng.Assume(c)
+	if got := len(eng.pcs); got != 1 {
+		t.Fatalf("pcs length = %d after duplicate Assume, want 1", got)
+	}
+	eng.Assume(ctx.Ne(v, ctx.BV(8, 9)))
+	if got := len(eng.pcs); got != 2 {
+		t.Fatalf("pcs length = %d, want 2", got)
 	}
 }

@@ -84,9 +84,6 @@ type Options struct {
 	Search SearchStrategy
 	// Seed seeds the random-path strategy; ignored otherwise.
 	Seed int64
-	// SolverConflictBudget bounds each SAT query; 0 means unlimited.
-	// Exhausted queries abort their path as AbortUnknown.
-	SolverConflictBudget uint64
 	// Progress, when set, receives a statistics snapshot every
 	// ProgressEvery started paths (default 256).
 	Progress func(Stats)
@@ -109,11 +106,6 @@ type Options struct {
 	// NoTermRewrites disables the extended term rewrite rules, leaving only
 	// the basic constant folds. Ablation mode (symv -rewrite=off).
 	NoTermRewrites bool
-	// NoFork disables fork-point state checkpointing: every scheduled path
-	// replays from the start instead of resuming from its divergence-point
-	// snapshot. Ablation mode (symv -fork=off); reports are byte-identical
-	// either way (fork-resume ≡ replay, see snapshot.go).
-	NoFork bool
 	// Obs, when non-nil, receives spans and counters for this exploration.
 	// Observability is side-channel only: it never influences exploration
 	// decisions, so reports are byte-identical with and without it.
@@ -158,12 +150,9 @@ type Stats struct {
 	// SAT holds the CDCL core's own counters (propagations, conflicts,
 	// restarts, learnt/deleted clauses), summed over all workers' solvers.
 	SAT sat.Stats
-	// ForkSnapshots counts quiescent-point state captures (fork-point
-	// checkpointing); ForkResumes counts scheduled paths that resumed from a
-	// checkpoint instead of replaying; ReplayEventsSaved counts the prefix
-	// events those resumes did not re-execute. Scheduling-dependent (worker
-	// hand-offs drop checkpoints), hence telemetry.
-	ForkSnapshots     uint64
+	// ForkResumes and ReplayEventsSaved are always 0: every path replays
+	// its decision prefix from the start. They stay only because the
+	// campaign benchmark (perfbench) still reads them.
 	ForkResumes       uint64
 	ReplayEventsSaved uint64
 }
@@ -221,7 +210,6 @@ func (x *Explorer) Context() *smt.Context { return x.ctx }
 // option budgets.
 func (x *Explorer) Explore(opts Options) *Report {
 	start := wallNow()
-	x.sol.SetConflictBudget(opts.SolverConflictBudget)
 	x.ctx.SetExtendedRewrites(!opts.NoTermRewrites)
 	if opts.NoQueryCache {
 		x.qc = nil
@@ -270,21 +258,10 @@ func (x *Explorer) Explore(opts Options) *Report {
 
 		sp := h.Start(obs.PhasePath)
 		sp.SetPath(pathID)
-		run := x.run
-		var eng *Engine
-		if resumable(n, opts.NoFork, x.qc, opts.SolverConflictBudget) {
-			eng = newResumedEngine(x.ctx, x.sol, n.fork, &rep.Stats, x.qc)
-			run = n.fork.cp.resume
-			rep.Stats.ForkResumes++
-			rep.Stats.ReplayEventsSaved += uint64(n.depth - len(n.fork.tail))
-		} else {
-			eng = newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc)
-		}
-		eng.forks = !opts.NoFork
+		eng := newEngine(x.ctx, x.sol, wk.materialize(n), &rep.Stats, x.qc)
 		eng.noOpt = opts.NoBranchOptimizations
 		eng.h = h
-		err, abort := runOne(run, eng)
-		rep.Stats.ForkSnapshots += eng.snaps
+		err, abort := runOne(x.run, eng)
 
 		rep.Stats.Instructions += eng.instrRetired
 		rep.Stats.Cycles += eng.cycles

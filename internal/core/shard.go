@@ -49,14 +49,10 @@ type PathRecord struct {
 type ShardOptions struct {
 	Search                SearchStrategy
 	Seed                  int64
-	SolverConflictBudget  uint64
 	NoBranchOptimizations bool
 	GenerateTests         bool
 	NoQueryCache          bool
 	NoTermRewrites        bool
-	// NoFork disables fork-point checkpointing (Options.NoFork). Hand-offs
-	// drop checkpoints regardless — exported prefixes always replay.
-	NoFork bool
 	// Obs, when non-nil, attaches this shard to the observability layer;
 	// ObsWorker is the worker index its spans and counters report under.
 	Obs       *obs.Recorder
@@ -78,13 +74,6 @@ type Shard struct {
 	opts ShardOptions
 	qc   *querycache.Local
 	h    *obs.Handle
-
-	// Fork-point checkpointing telemetry (summed into the merged report's
-	// Stats by the orchestrator, like SolverStats — per-path attribution
-	// would make the canonical-cut totals scheduling-dependent).
-	forkSnapshots     uint64
-	forkResumes       uint64
-	replayEventsSaved uint64
 }
 
 // NewShard returns a shard with a fresh context and solver.
@@ -92,7 +81,6 @@ func NewShard(run RunFunc, opts ShardOptions) *Shard {
 	ctx := smt.NewContext()
 	ctx.SetExtendedRewrites(!opts.NoTermRewrites)
 	sol := solver.New(ctx)
-	sol.SetConflictBudget(opts.SolverConflictBudget)
 	s := &Shard{
 		ctx:  ctx,
 		sol:  sol,
@@ -133,7 +121,6 @@ func (s *Shard) PublishObsCounters() {
 	}
 	terms, satVars := s.Sizes()
 	publishBackendObs(s.h, s.SolverStats(), s.CacheStats(), s.RewriteHits(), terms, satVars)
-	publishForkObs(s.h, s.forkSnapshots, s.forkResumes, s.replayEventsSaved)
 	s.h.Flush()
 }
 
@@ -166,13 +153,6 @@ func (s *Shard) SolverStats() solver.Stats { return s.sol.Stats() }
 
 // RewriteHits returns the shard context's extended-rewrite application count.
 func (s *Shard) RewriteHits() uint64 { return s.ctx.RewriteHits() }
-
-// ForkStats returns the shard's fork-point checkpointing telemetry:
-// snapshots captured, paths resumed from checkpoints, and prefix events
-// those resumes skipped re-executing.
-func (s *Shard) ForkStats() (snapshots, resumes, eventsSaved uint64) {
-	return s.forkSnapshots, s.forkResumes, s.replayEventsSaved
-}
 
 // AddPrefix schedules an imported subtree root.
 func (s *Shard) AddPrefix(prefix []Step, sig Sig) { s.w.addPrefix(prefix, sig) }
@@ -225,21 +205,10 @@ func (s *Shard) Step() (PathRecord, bool) {
 
 	sp := s.h.Start(obs.PhasePath)
 	var st Stats
-	run := s.run
-	var eng *Engine
-	if resumable(n, s.opts.NoFork, s.qc, s.opts.SolverConflictBudget) {
-		eng = newResumedEngine(s.ctx, s.sol, n.fork, &st, s.qc)
-		run = n.fork.cp.resume
-		s.forkResumes++
-		s.replayEventsSaved += uint64(n.depth - len(n.fork.tail))
-	} else {
-		eng = newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc)
-	}
-	eng.forks = !s.opts.NoFork
+	eng := newEngine(s.ctx, s.sol, s.w.materialize(n), &st, s.qc)
 	eng.noOpt = s.opts.NoBranchOptimizations
 	eng.h = s.h
-	err, abort := runOne(run, eng)
-	s.forkSnapshots += eng.snaps
+	err, abort := runOne(s.run, eng)
 
 	rec := PathRecord{
 		Sig:          s.w.pathSig(n, eng.fresh),

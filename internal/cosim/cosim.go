@@ -142,11 +142,10 @@ func Run(eng *core.Engine, cfg Config) error {
 	return newRunState(eng, cfg.WithDefaults()).loop()
 }
 
-// runState owns one co-simulation path's mutable testbench state. Bundling
-// it in a struct (instead of Run's locals) is what makes the path
-// checkpointable: a fork-point capture freezes every field and a resumed
-// sibling rebuilds an equivalent runState bound to a fresh engine (see
-// snapshot.go in this package).
+// runState owns one co-simulation path's mutable testbench state: the
+// memories, both models, the checker and the bus latches. Every path builds
+// a fresh one from cycle 0; the engine replays the path's decision prefix
+// through it.
 type runState struct {
 	eng      *core.Engine
 	cfg      Config
@@ -163,12 +162,6 @@ type runState struct {
 	db      rtl.DBusResponse
 	retired int
 	cycles  int
-
-	// captureFn, when non-nil, is handed to Engine.Checkpoint at the top of
-	// every cycle (precomputed once: a method value allocates). Nil when the
-	// DUT cannot snapshot or a per-cycle trace is being written (a resumed
-	// trace would silently omit the pre-checkpoint cycles).
-	captureFn func() core.ResumeFunc
 }
 
 func newRunState(eng *core.Engine, cfg Config) *runState {
@@ -236,16 +229,11 @@ func newRunState(eng *core.Engine, cfg Config) *runState {
 	}
 
 	rs.checker = rvfi.NewChecker(eng)
-	if _, ok := rs.dut.(DUTSnapshotter); ok && cfg.Trace == nil {
-		rs.captureFn = rs.capture
-	}
 	return rs
 }
 
-// loop clocks the core until the retired-instruction limit, servicing buses
-// and stepping the ISS at every retirement. It is entered both by fresh runs
-// (from cycle 0) and by resumed checkpoints (mid-path), so every iteration
-// must depend only on runState fields.
+// loop clocks the core from cycle 0 until the retired-instruction limit,
+// servicing buses and stepping the ISS at every retirement.
 func (rs *runState) loop() error {
 	eng, cfg := rs.eng, rs.cfg
 	h := eng.Obs()
@@ -253,11 +241,6 @@ func (rs *runState) loop() error {
 	for ; rs.retired < cfg.InstrLimit; rs.cycles++ {
 		if rs.cycles >= cfg.CycleLimit {
 			eng.AbortLimitReached(fmt.Sprintf("cycle limit %d reached", cfg.CycleLimit))
-		}
-		if rs.captureFn != nil {
-			// Quiescent point: no bus transaction or retirement is mid-flight
-			// at the top of a cycle, so the whole testbench state is capturable.
-			eng.Checkpoint(rs.captureFn)
 		}
 		cycles := rs.cycles
 		sp := h.Start(obs.PhaseRTLStep)

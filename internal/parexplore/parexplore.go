@@ -33,13 +33,14 @@
 // recipient never starves, so the donor runs past the cut for the whole
 // run. Sharing with busy workers is speculative, though: the cut is not
 // known until it comes, and a run whose cut comes late keeps the work a
-// busy worker does past the others' fronts anyway. Such a hand-off costs a
-// prefix replay instead of a fork resume, so busy workers take only a
-// limited number of units (lagBase plus one per lagPer paths), which covers
-// the cuts of the Table II cells and keeps hand-offs a small share of a
-// long hunt. Unbounded runs have no cut to protect and share only with
-// idle workers: sharing with busy ones lowered their throughput
-// (EXPERIMENTS.md, "Bounded runs: lag-aware work sharing").
+// busy worker does past the others' fronts anyway. Such a hand-off moves
+// the recipient to another part of the tree, whose queries its solver
+// context has not yet encoded, so busy workers take only a limited number
+// of units (lagBase plus one per lagPer paths), which covers the cuts of
+// the Table II cells and keeps hand-offs a small share of a long hunt.
+// Unbounded runs have no cut to protect and share only with idle workers:
+// sharing with busy ones lowered their throughput (EXPERIMENTS.md,
+// "Bounded runs: lag-aware work sharing").
 //
 // # Why the result is deterministic
 //
@@ -119,10 +120,10 @@ func newQueue(workers int, lag bool) *queue {
 
 // lagBase and lagPer bound the units busy workers take: lagBase plus one
 // per lagPer paths run. Such a unit saves work only when the cut comes
-// before the recipient's own front, and it replays its prefix instead of
-// resuming from a fork point; without a bound, late-finding pipecore cells
-// ran 40–65% slower (EXPERIMENTS.md, "Bounded runs: lag-aware work
-// sharing"). Units are a few paths each, so lagBase covers a cut after
+// before the recipient's own front, and it moves the recipient away from
+// the subtree its solver context has encoded; without a bound, late-finding
+// pipecore cells ran 40–65% slower (EXPERIMENTS.md, "Bounded runs:
+// lag-aware work sharing"). Units are a few paths each, so lagBase covers a cut after
 // about 1 100 kept paths, even with the race detector slowing every path
 // (TestLaggingWorkerTakesFront), and a long run pays for about one hand-off
 // per lagPer paths.
@@ -451,10 +452,6 @@ func (c *coord) merge(shards []*core.Shard) *core.Report {
 		rep.Stats.SAT.Add(ss.SAT)
 		rep.Stats.RewriteHits += sh.RewriteHits()
 		rep.Stats.Cache.Add(sh.CacheStats())
-		snaps, resumes, saved := sh.ForkStats()
-		rep.Stats.ForkSnapshots += snaps
-		rep.Stats.ForkResumes += resumes
-		rep.Stats.ReplayEventsSaved += saved
 	}
 
 	// Exhausted mirrors the sequential explorer: false whenever a budget,
@@ -487,12 +484,10 @@ func Explore(run core.RunFunc, opts core.Options, workers int) *core.Report {
 
 	shardOpts := core.ShardOptions{
 		Search:                opts.Search,
-		SolverConflictBudget:  opts.SolverConflictBudget,
 		NoBranchOptimizations: opts.NoBranchOptimizations,
 		GenerateTests:         opts.GenerateTests,
 		NoQueryCache:          opts.NoQueryCache,
 		NoTermRewrites:        opts.NoTermRewrites,
-		NoFork:                opts.NoFork,
 		Obs:                   opts.Obs,
 	}
 	// One read-mostly cache store spans all workers; each shard buffers its

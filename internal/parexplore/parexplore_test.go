@@ -549,6 +549,44 @@ func TestCosimFaultEquivalence(t *testing.T) {
 	}
 }
 
+// TestForkEquivalenceAcrossWorkers pins replay-based forking against the
+// sharded orchestrator on a real co-simulation workload: at every worker
+// count, with handed-off prefixes replayed in another worker's term
+// context, the report matches the sequential explorer's.
+func TestForkEquivalenceAcrossWorkers(t *testing.T) {
+	cfg := cosim.Config{
+		ISS:        iss.FixedConfig(),
+		Core:       microrv32.FixedConfig(),
+		Filter:     cosim.BlockSystemInstructions,
+		InstrLimit: 2,
+	}
+	opts := core.Options{
+		Search:   core.SearchDFS,
+		MaxPaths: 60,
+		MaxTime:  120 * time.Second,
+	}
+	ref := core.NewExplorer(cosim.RunFunc(cfg)).Explore(opts)
+	if ref.Stats.Paths == 0 {
+		t.Fatal("reference exploration ran no paths")
+	}
+	wantFindings := findingSet(t, ref)
+	for _, workers := range []int{1, 2, 4} {
+		rep := parexplore.Explore(cosim.RunFunc(cfg), opts, workers)
+		if !sameStats(ref.Stats, rep.Stats) {
+			t.Errorf("workers=%d: stats diverge\nref: %+v\ngot: %+v", workers, ref.Stats, rep.Stats)
+		}
+		got := findingSet(t, rep)
+		if len(got) != len(wantFindings) {
+			t.Errorf("workers=%d: findings %v, want %v", workers, got, wantFindings)
+		}
+		for k := range wantFindings {
+			if got[k] != wantFindings[k] {
+				t.Errorf("workers=%d: finding %q count %d, want %d", workers, k, got[k], wantFindings[k])
+			}
+		}
+	}
+}
+
 func classifyKey(t *testing.T, err error) string {
 	t.Helper()
 	var m *rvfi.Mismatch
